@@ -38,8 +38,8 @@ func TestRunAllocsBounded(t *testing.T) {
 
 // TestRunAllocsFlat pins the fetch-ring fix specifically: the old
 // `fetchQ = fetchQ[1:]` pattern regrew the queue per fill, so allocation
-// count scaled with instruction count. With the fixed ring (and the rest
-// of the zero-alloc hot path) a 4x longer run may not cost more than a
+// count scaled with instruction count. With fetch writing into fixed ROB
+// slots (and the rest of the zero-alloc hot path) a 4x longer run may not cost more than a
 // small additive overhead.
 func TestRunAllocsFlat(t *testing.T) {
 	short := runAllocs(t, 10_000)

@@ -74,7 +74,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "pdserve: serving %s on http://%s (/v1, /metrics)\n",
 		store.Dir(), net.JoinHostPort(host, port))
 
-	httpSrv := &http.Server{Handler: srv}
+	httpSrv := newHTTPServer(srv)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	done := make(chan error, 1)
@@ -94,4 +94,14 @@ func main() {
 			fail(err)
 		}
 	}
+}
+
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so a slow or idle connection cannot hold a server
+// goroutine forever. It matches the -debug-addr server's.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer wraps the API handler in the daemon's http.Server.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 }

@@ -3,7 +3,9 @@ package campaign
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -87,6 +89,68 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 		if got != want {
 			t.Errorf("parallel=%d produced different results than parallel=1", workers)
 		}
+	}
+}
+
+// progRecorder wraps the real simulator and counts, per Program, the
+// simulations that ran it.
+type progRecorder struct {
+	Simulator
+	mu    sync.Mutex
+	progs map[*paradet.Program]int
+}
+
+func (r *progRecorder) note(p *paradet.Program) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.progs[p]++
+}
+
+func (r *progRecorder) Run(ctx context.Context, cfg paradet.Config, p *paradet.Program) (*paradet.Result, error) {
+	r.note(p)
+	return r.Simulator.Run(ctx, cfg, p)
+}
+
+func (r *progRecorder) RunUnprotected(ctx context.Context, cfg paradet.Config, p *paradet.Program) (*paradet.Result, error) {
+	r.note(p)
+	return r.Simulator.RunUnprotected(ctx, cfg, p)
+}
+
+// TestParallelCellsShareOneProgram runs four cells of one workload on
+// four workers. They all execute one freshly loaded *Program, whose
+// predecoded instruction table is built lazily by whichever cell steps
+// first; under -race this proves that build is race-free. The results
+// must match a serial run.
+func TestParallelCellsShareOneProgram(t *testing.T) {
+	spec := func(parallel int) Spec {
+		var pts []Point
+		for i, hz := range []uint64{250_000_000, 500_000_000, 1_000_000_000, 2_000_000_000} {
+			cfg := paradet.DefaultConfig()
+			cfg.CheckerHz = hz
+			pts = append(pts, Point{Label: fmt.Sprintf("p%d", i), Config: cfg})
+		}
+		return Spec{Name: "shared-prog", Workloads: []string{"bitcount"}, Points: pts,
+			MaxInstrs: 3000, WithBaseline: true, Parallel: parallel}
+	}
+	rec := &progRecorder{Simulator: Default(), progs: map[*paradet.Program]int{}}
+	par, err := Execute(spec(4), rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.progs) != 1 {
+		t.Fatalf("cells ran %d distinct programs, want one shared", len(rec.progs))
+	}
+	for _, n := range rec.progs {
+		if n != 5 {
+			t.Fatalf("shared program ran %d simulations, want 4 cells + 1 baseline", n)
+		}
+	}
+	serial, err := Execute(spec(1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snapshot(t, par.Results) != snapshot(t, serial.Results) {
+		t.Error("parallel cells over a shared program differ from a serial run")
 	}
 }
 

@@ -108,17 +108,14 @@ type Detector struct {
 
 var _ ResultSink = (*Detector)(nil)
 
-// retireEnv is the commit-time replica's environment: instruction fetch
-// from the shared read-only image, data in the replica's own memory, and
-// RDTIME values replayed from the log (non-determinism must flow through
-// the log, never be recomputed).
+// retireEnv is the commit-time replica's environment: data in the
+// replica's own memory, and RDTIME values replayed from the log
+// (non-determinism must flow through the log, never be recomputed).
 type retireEnv struct {
-	prog    *isa.Program
 	mem     *mem.Sparse
 	nonDetQ []uint64
 }
 
-func (e *retireEnv) FetchWord(pc uint64) (uint32, bool) { return e.prog.Word(pc) }
 func (e *retireEnv) Load(addr uint64, size uint8) uint64 {
 	return e.mem.Read(addr, size)
 }
@@ -160,8 +157,9 @@ func New(cfg Config, prog *isa.Program, initRegs isa.ArchRegs) *Detector {
 		d.segs[i] = &Segment{Index: i, State: SegFree, Entries: make([]LogEntry, 0, d.capacity)}
 	}
 	d.segs[0].State = SegFilling
-	d.retireEnv = &retireEnv{prog: prog, mem: mem.NewSparse()}
+	d.retireEnv = &retireEnv{mem: mem.NewSparse()}
 	d.retireEnv.mem.SetBytes(prog.Origin, prog.Image)
+	d.retire.Prog = prog
 	d.retire.Env = d.retireEnv
 	d.retire.Restore(initRegs)
 	if cfg.InterruptInterval > 0 {
@@ -182,10 +180,6 @@ func (d *Detector) AttachCheckers(checkers []Checker) {
 // RetireHooks exposes the commit-time replica's hook point so the fault
 // injector can apply the identical corruption to both functional copies.
 func (d *Detector) RetireHooks() *isa.Hooks { return &d.retire.Hooks }
-
-// RetireMemory exposes the committed memory image (used by tests and by
-// fault classification).
-func (d *Detector) RetireMemory() *mem.Sparse { return d.retireEnv.mem }
 
 // Stats returns a copy of the counters, with the LFU peak folded in.
 func (d *Detector) Stats() Stats {
@@ -432,9 +426,6 @@ func (d *Detector) FirstError() *ErrorReport { return d.firstError }
 // Errors returns every error any checker reported (confirmed or not);
 // under over-detection (§IV-I) there may be several.
 func (d *Detector) Errors() []*ErrorReport { return d.allErrors }
-
-// Segments exposes the segment array for tests and inspection.
-func (d *Detector) Segments() []*Segment { return d.segs }
 
 // TelemetryFill writes the detector's contribution into a telemetry
 // sample: filling-segment occupancy, segments under check, and the

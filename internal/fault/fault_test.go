@@ -12,7 +12,6 @@ type execEnv struct {
 	stores map[uint64]uint64
 }
 
-func (e *execEnv) FetchWord(pc uint64) (uint32, bool)  { return 0, false }
 func (e *execEnv) Load(addr uint64, size uint8) uint64 { return 0 }
 func (e *execEnv) Store(addr uint64, size uint8, val uint64) {
 	if e.stores == nil {

@@ -6,14 +6,12 @@ import (
 	"math/bits"
 )
 
-// Env supplies the environment an executing Machine runs against. The main
-// core's functional oracle uses a real memory image; a checker core uses a
-// log-backed Env that serves loads from its load-store log segment and
-// validates stores instead of performing them (§IV-B).
+// Env supplies the data environment an executing Machine runs against
+// (instructions come from Machine.Prog). The main core's functional
+// oracle uses a real memory image; a checker core uses a log-backed Env
+// that serves loads from its load-store log segment and validates stores
+// instead of performing them (§IV-B).
 type Env interface {
-	// FetchWord reads the instruction word at pc. ok is false if pc is
-	// outside mapped code, which the system treats as a program fault.
-	FetchWord(pc uint64) (word uint32, ok bool)
 	// Load reads size bytes at addr, zero-extended.
 	Load(addr uint64, size uint8) uint64
 	// Store writes the low size bytes of val at addr.
@@ -89,12 +87,18 @@ type Machine struct {
 	F  [NumFPRegs]uint64  // raw float64 bits
 	PC uint64
 
+	// Prog is the code to run; it must not change after the first Step.
+	Prog   *Program
 	Env    Env
 	Hooks  Hooks
 	Halted bool
 
 	// InstCount counts retired instructions (Seq of the last DynInst).
 	InstCount uint64
+
+	// code caches Prog's predecoded table: code[i] is at codeBase+4*i.
+	code     []Inst
+	codeBase uint64
 }
 
 // ReadX reads an integer register honouring the zero register.
@@ -168,19 +172,26 @@ func (m *Machine) Step(di *DynInst) error {
 	if m.Halted {
 		return &ProgError{PC: m.PC, Reason: "machine is halted"}
 	}
-	word, ok := m.Env.FetchWord(m.PC)
-	if !ok {
+	if m.code == nil && m.Prog != nil {
+		m.codeBase, m.code = m.Prog.Insts()
+	}
+	// A PC below codeBase wraps to an index far past the table.
+	i := (m.PC - m.codeBase) >> 2
+	if m.PC%4 != 0 || i >= uint64(len(m.code)) {
 		m.Halted = true
 		return &ProgError{PC: m.PC, Reason: "instruction fetch outside mapped code"}
 	}
-	in, err := Decode(word)
-	if err != nil {
+	in := m.code[i]
+	if in.Op == OpInvalid {
 		m.Halted = true
 		return &ProgError{PC: m.PC, Reason: "undefined instruction"}
 	}
 
 	m.InstCount++
-	*di = DynInst{Seq: m.InstCount, PC: m.PC, Inst: in}
+	// Reset in place: callers reuse the record (often a ROB slot).
+	di.Seq, di.PC, di.NextPC, di.Inst = m.InstCount, m.PC, 0, in
+	di.Taken, di.NMem, di.Mem = false, 0, [2]MemOp{}
+	di.HasNonDet, di.NonDetVal, di.Halt, di.Thread = false, 0, false, 0
 	next := m.PC + 4
 
 	switch in.Op {

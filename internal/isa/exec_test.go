@@ -1,13 +1,15 @@
 package isa
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 )
 
-// testEnv is a trivial Env over a flat map with a code image.
+// testEnv is a trivial Env over a flat map, plus the code image that
+// load assembles for the Machine to fetch from.
 type testEnv struct {
-	code  map[uint64]uint32
+	prog  *Program
 	data  map[uint64]uint64 // 8-byte granules, little-endian composition below
 	bytes map[uint64]byte
 	time  uint64
@@ -15,12 +17,7 @@ type testEnv struct {
 }
 
 func newTestEnv() *testEnv {
-	return &testEnv{code: map[uint64]uint32{}, bytes: map[uint64]byte{}}
-}
-
-func (e *testEnv) FetchWord(pc uint64) (uint32, bool) {
-	w, ok := e.code[pc]
-	return w, ok
+	return &testEnv{bytes: map[uint64]byte{}}
 }
 
 func (e *testEnv) Load(addr uint64, size uint8) uint64 {
@@ -48,12 +45,13 @@ func (e *testEnv) Syscall(m *Machine) {
 // load assembles a sequence of instructions at pc 0.
 func (e *testEnv) load(t *testing.T, insts ...Inst) {
 	t.Helper()
-	for i, in := range insts {
+	e.prog = &Program{}
+	for _, in := range insts {
 		w, err := Encode(in)
 		if err != nil {
 			t.Fatalf("encode %v: %v", in, err)
 		}
-		e.code[uint64(i*4)] = w
+		e.prog.Image = binary.LittleEndian.AppendUint32(e.prog.Image, w)
 	}
 }
 
@@ -111,7 +109,7 @@ func TestIntArithmetic(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			env := newTestEnv()
 			env.load(t, tc.in)
-			m := &Machine{Env: env}
+			m := &Machine{Env: env, Prog: env.prog}
 			m.X[1], m.X[2] = tc.x1, tc.x2
 			run(t, m, 1)
 			if m.X[3] != tc.want {
@@ -132,7 +130,7 @@ func TestImmediatesAndMov(t *testing.T) {
 		Inst{Op: OpLSLI, Rd: 5, Rs1: 1, Imm: 4},
 		Inst{Op: OpSLTI, Rd: 6, Rs1: 1, Imm: ImmIMax},
 	)
-	m := &Machine{Env: env}
+	m := &Machine{Env: env, Prog: env.prog}
 	run(t, m, 7)
 	if m.X[1] != 0xdeadbeef {
 		t.Errorf("movz/movk: x1 = %#x", m.X[1])
@@ -160,7 +158,7 @@ func TestZeroRegister(t *testing.T) {
 		Inst{Op: OpMOVZ, Rd: ZeroReg, Imm: 0x1234},
 		Inst{Op: OpADD, Rd: 1, Rs1: ZeroReg, Rs2: ZeroReg},
 	)
-	m := &Machine{Env: env}
+	m := &Machine{Env: env, Prog: env.prog}
 	run(t, m, 2)
 	if m.X[ZeroReg] != 0 {
 		t.Error("write to xzr must be discarded")
@@ -185,7 +183,7 @@ func TestFloatingPoint(t *testing.T) {
 		Inst{Op: OpFMIN, Rd: 9, Rs1: 0, Rs2: 1},
 		Inst{Op: OpFMAX, Rd: 10, Rs1: 0, Rs2: 1},
 	)
-	m := &Machine{Env: env}
+	m := &Machine{Env: env, Prog: env.prog}
 	m.WriteF(0, 9.0)
 	m.WriteF(1, 2.0)
 	m.X[3] = 7
@@ -219,7 +217,7 @@ func TestFCVTZSSaturation(t *testing.T) {
 	for _, c := range cases {
 		env := newTestEnv()
 		env.load(t, Inst{Op: OpFCVTZS, Rd: 1, Rs1: 0})
-		m := &Machine{Env: env}
+		m := &Machine{Env: env, Prog: env.prog}
 		m.WriteF(0, c.f)
 		run(t, m, 1)
 		if int64(m.X[1]) != c.want {
@@ -239,7 +237,7 @@ func TestLoadsAndStores(t *testing.T) {
 		Inst{Op: OpSTRB, Rd: 1, Rs1: 2, Imm: 100},
 		Inst{Op: OpLDRD, Rd: 7, Rs1: 2, Imm: 100},
 	)
-	m := &Machine{Env: env}
+	m := &Machine{Env: env, Prog: env.prog}
 	m.X[1] = 0x1122334455667788
 	m.X[2] = 0x1000
 	dis := run(t, m, 7)
@@ -273,7 +271,7 @@ func TestPairOps(t *testing.T) {
 		Inst{Op: OpSTP, Rd: 1, Rs2: 2, Rs1: 3, Imm: 16},
 		Inst{Op: OpLDP, Rd: 4, Rs2: 5, Rs1: 3, Imm: 16},
 	)
-	m := &Machine{Env: env}
+	m := &Machine{Env: env, Prog: env.prog}
 	m.X[1], m.X[2], m.X[3] = 111, 222, 0x2000
 	dis := run(t, m, 2)
 	if m.X[4] != 111 || m.X[5] != 222 {
@@ -295,7 +293,7 @@ func TestBranches(t *testing.T) {
 		Inst{Op: OpMOVZ, Rd: 3, Imm: 1},         // skipped
 		Inst{Op: OpMOVZ, Rd: 4, Imm: 2},
 	)
-	m := &Machine{Env: env}
+	m := &Machine{Env: env, Prog: env.prog}
 	m.X[1], m.X[2] = 7, 7
 	dis := run(t, m, 2)
 	if !dis[0].Taken || dis[0].NextPC != 8 {
@@ -311,7 +309,7 @@ func TestBranches(t *testing.T) {
 		Inst{Op: OpBNE, Rs1: 1, Rs2: 2, Imm: 8},
 		Inst{Op: OpMOVZ, Rd: 3, Imm: 1},
 	)
-	m2 := &Machine{Env: env2}
+	m2 := &Machine{Env: env2, Prog: env2.prog}
 	m2.X[1], m2.X[2] = 7, 7
 	dis2 := run(t, m2, 2)
 	if dis2[0].Taken {
@@ -329,7 +327,7 @@ func TestJalAndJalr(t *testing.T) {
 		Inst{Op: OpMOVZ, Rd: 3, Imm: 1},                   // skipped, then return target
 		Inst{Op: OpJALR, Rd: ZeroReg, Rs1: RegLR, Imm: 0}, // ret -> pc 4
 	)
-	m := &Machine{Env: env}
+	m := &Machine{Env: env, Prog: env.prog}
 	run(t, m, 2)
 	if m.X[RegLR] != 4 {
 		t.Errorf("jal link = %#x, want 4", m.X[RegLR])
@@ -347,7 +345,7 @@ func TestRdtimeIsRecordedAsNonDeterministic(t *testing.T) {
 	env := newTestEnv()
 	env.time = 12345
 	env.load(t, Inst{Op: OpRDTIME, Rd: 1})
-	m := &Machine{Env: env}
+	m := &Machine{Env: env, Prog: env.prog}
 	dis := run(t, m, 1)
 	if m.X[1] != 12345 {
 		t.Errorf("rdtime: x1 = %d", m.X[1])
@@ -360,7 +358,7 @@ func TestRdtimeIsRecordedAsNonDeterministic(t *testing.T) {
 func TestHaltAndFaults(t *testing.T) {
 	env := newTestEnv()
 	env.load(t, Inst{Op: OpHLT})
-	m := &Machine{Env: env}
+	m := &Machine{Env: env, Prog: env.prog}
 	dis := run(t, m, 5)
 	if len(dis) != 1 || !dis[0].Halt || !m.Halted {
 		t.Fatal("hlt must halt the machine")
@@ -405,7 +403,7 @@ func TestPostExecHookCanCorruptState(t *testing.T) {
 		Inst{Op: OpMOVZ, Rd: 1, Imm: 10},
 		Inst{Op: OpADDI, Rd: 2, Rs1: 1, Imm: 0},
 	)
-	m := &Machine{Env: env}
+	m := &Machine{Env: env, Prog: env.prog}
 	m.Hooks.PostExec = func(mm *Machine, di *DynInst) {
 		if di.Seq == 1 {
 			mm.X[1] ^= 1 << 4 // bit flip: the fault injector's mechanism
@@ -421,7 +419,7 @@ func TestSyscallHook(t *testing.T) {
 	env := newTestEnv()
 	env.svc = func(m *Machine) { m.X[9] = 77 }
 	env.load(t, Inst{Op: OpSVC})
-	m := &Machine{Env: env}
+	m := &Machine{Env: env, Prog: env.prog}
 	run(t, m, 1)
 	if m.X[9] != 77 {
 		t.Error("svc must invoke the environment")

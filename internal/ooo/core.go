@@ -172,21 +172,16 @@ const noWaiter = int32(-1)
 // walks that list, folding its completion time into each consumer's
 // readyAt and marking consumers with no outstanding producers ready.
 type robEntry struct {
-	di          isa.DynInst
+	di          isa.DynInst // fetch writes it here, never copied
 	id          uint64
 	issued      bool
 	completeAt  sim.Time
-	mispredict  bool
+	mispredict  bool // set by fetch
 	inIQ        bool
 	pendingDeps int8     // producers not yet issued
 	readyAt     sim.Time // max completion time over issued producers
 	firstWaiter int32    // head of this entry's waiter list (consumer idx<<2 | dep slot)
 	nextWaiter  [3]int32 // per-dep-slot link in a producer's waiter list
-}
-
-type fetchedInst struct {
-	di         isa.DynInst
-	mispredict bool
 }
 
 // Core is the out-of-order main core timing model. It implements
@@ -199,22 +194,19 @@ type Core struct {
 	bp     *branch.Predictor
 	gate   CommitGate // may be nil (unprotected baseline)
 
-	// Front end. fetchQ is a fixed ring of cfg.FetchQueue slots so the
-	// steady-state fetch path never touches the allocator (the old
-	// fetchQ = fetchQ[1:] pattern retained and eventually regrew the
-	// backing array).
-	fetchQ        []fetchedInst
-	fqHead        int
+	// Front end. The fetch queue is the fqLen ROB slots past the tail;
+	// the slot after them holds a traced instruction waiting out an
+	// I-cache miss (pendingValid).
 	fqLen         int
-	pending       isa.DynInst
 	pendingValid  bool
 	traceDone     bool
 	curFetchLine  uint64
 	fetchStallTil sim.Time
 	blockedOnSeq  uint64 // dynamic Seq of the unresolved mispredicted branch
 
-	// Window. The backing array is rounded up to a power of two so the
-	// id -> slot mapping is a mask, not a division; the logical capacity
+	// Window. The backing array holds the window, the fetch queue and
+	// the pending slot, rounded up to a power of two so the id -> slot
+	// mapping is a mask, not a division; the window's logical capacity
 	// stays cfg.ROBEntries.
 	rob            []robEntry
 	robMask        uint64
@@ -254,7 +246,7 @@ func New(cfg Config, trace TraceSource, icache, dcache *mem.Cache, bp *branch.Pr
 		panic("ooo: invalid config")
 	}
 	robLen := 1
-	for robLen < cfg.ROBEntries {
+	for robLen < cfg.ROBEntries+cfg.FetchQueue+1 {
 		robLen <<= 1
 	}
 	return &Core{
@@ -268,7 +260,6 @@ func New(cfg Config, trace TraceSource, icache, dcache *mem.Cache, bp *branch.Pr
 		robMask:     uint64(robLen - 1),
 		ready:       make([]uint64, (robLen+63)/64),
 		storeQ:      make([]uint64, robLen),
-		fetchQ:      make([]fetchedInst, cfg.FetchQueue),
 		headID:      1,
 		tailID:      1,
 		intRegsFree: cfg.IntPhysRegs - isa.NumIntRegs,
@@ -677,8 +668,10 @@ func (c *Core) rename(now sim.Time) {
 	}
 	budget := c.cfg.Width
 	for budget > 0 && c.fqLen > 0 {
-		f := &c.fetchQ[c.fqHead]
-		in := f.di.Inst
+		id := c.tailID
+		idx := id & c.robMask
+		e := &c.rob[idx]
+		in := e.di.Inst
 		op := in.Op
 
 		var dbuf, sbuf [3]isa.RegRef
@@ -691,7 +684,7 @@ func (c *Core) rename(now sim.Time) {
 				needInt++
 			}
 		}
-		nmem := int(f.di.NMem)
+		nmem := int(e.di.NMem)
 		switch {
 		case c.robFull(), c.iqCount >= c.cfg.IQEntries,
 			needInt > c.intRegsFree, needFP > c.fpRegsFree,
@@ -701,12 +694,11 @@ func (c *Core) rename(now sim.Time) {
 			return
 		}
 
-		id := c.tailID
-		idx := id & c.robMask
-		e := &c.rob[idx]
-		*e = robEntry{di: f.di, id: id, mispredict: f.mispredict, inIQ: true,
-			firstWaiter: noWaiter, nextWaiter: [3]int32{noWaiter, noWaiter, noWaiter}}
-		thr := int(f.di.Thread)
+		// di and mispredict were written by fetch; reset the rest in place.
+		e.id, e.issued, e.completeAt, e.inIQ = id, false, 0, true
+		e.pendingDeps, e.readyAt, e.firstWaiter = 0, 0, noWaiter
+		e.nextWaiter = [3]int32{noWaiter, noWaiter, noWaiter}
+		thr := int(e.di.Thread)
 		for _, s := range in.Srcs(sbuf[:0]) {
 			file := 0
 			if s.FP {
@@ -749,16 +741,12 @@ func (c *Core) rename(now sim.Time) {
 		}
 		if op.IsStore() {
 			c.sqCount += nmem
-			if f.di.Thread == 0 {
+			if e.di.Thread == 0 {
 				c.storeQ[(c.sqHead+c.sqLen)&int(c.robMask)] = id
 				c.sqLen++
 			}
 		}
 		c.tailID++
-		c.fqHead++
-		if c.fqHead == len(c.fetchQ) {
-			c.fqHead = 0
-		}
 		c.fqLen--
 		budget--
 	}
@@ -775,15 +763,16 @@ func (c *Core) fetch(now sim.Time) {
 		return
 	}
 	budget := c.cfg.Width
-	for budget > 0 && c.fqLen < len(c.fetchQ) {
+	for budget > 0 && c.fqLen < c.cfg.FetchQueue {
+		e := c.entry(c.tailID + uint64(c.fqLen))
+		di := &e.di
 		if !c.pendingValid {
-			if c.traceDone || !c.trace.Next(&c.pending) {
+			if c.traceDone || !c.trace.Next(di) {
 				c.traceDone = true
 				return
 			}
 			c.pendingValid = true
 		}
-		di := &c.pending
 
 		// Instruction cache: a new line access may stall fetch; the
 		// access is charged once (the fill continues in the background).
@@ -810,11 +799,7 @@ func (c *Core) fetch(now sim.Time) {
 				c.bp.NoteDirMiss()
 			}
 		}
-		slot := c.fqHead + c.fqLen
-		if slot >= len(c.fetchQ) {
-			slot -= len(c.fetchQ)
-		}
-		c.fetchQ[slot] = fetchedInst{di: *di, mispredict: mispredict}
+		e.mispredict = mispredict
 		c.fqLen++
 		c.pendingValid = false
 		budget--

@@ -11,14 +11,25 @@ import (
 	"paradet/internal/trace"
 )
 
-// buildCore assembles src and wires a core with a private hierarchy.
+// buildCore assembles src and wires a Table I core with a private
+// hierarchy.
 func buildCore(t testing.TB, src string, gate CommitGate, maxInstrs uint64) *Core {
+	t.Helper()
+	return buildCoreConfig(t, NewTableIConfig(), assemble(t, src), gate, maxInstrs)
+}
+
+func assemble(t testing.TB, src string) *isa.Program {
 	t.Helper()
 	prog, err := asm.Assemble(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := NewTableIConfig()
+	return prog
+}
+
+// buildCoreConfig wires a core of the given configuration running prog.
+func buildCoreConfig(t testing.TB, cfg Config, prog *isa.Program, gate CommitGate, maxInstrs uint64) *Core {
+	t.Helper()
 	dram := mem.NewDDR3()
 	l2 := mem.NewCache(mem.CacheConfig{
 		Name: "l2", SizeBytes: 1 << 20, Ways: 16, LineBytes: 64,

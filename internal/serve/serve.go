@@ -130,6 +130,9 @@ type Snapshot struct {
 	Shared     uint64 `json:"singleflight_shared"`
 	Inflight   int64  `json:"inflight"`
 	ActiveKeys int    `json:"active_keys"`
+	// Waiting counts requests parked in the single-flight group behind
+	// another request's identical cold work.
+	Waiting int `json:"singleflight_waiting"`
 }
 
 // Snapshot reports the server's counters at this instant.
@@ -142,6 +145,7 @@ func (s *Server) Snapshot() Snapshot {
 		Shared:     s.shared.Load(),
 		Inflight:   s.inflight.Load(),
 		ActiveKeys: s.flights.active(),
+		Waiting:    s.flights.parked(),
 	}
 }
 

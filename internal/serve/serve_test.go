@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -277,14 +278,15 @@ func TestCampaignSingleFlight(t *testing.T) {
 	}
 
 	// The leader is inside the gated simulation; wait until every
-	// request has reached the server (the followers are then parked in
-	// the single-flight group, having already expanded the same grid),
-	// then let the leader finish.
+	// follower is parked in the single-flight group behind it (being in
+	// flight is not enough: a follower still parsing its request could
+	// arrive after the leader finished and find a warm store), then let
+	// the leader finish.
 	<-sim.started
 	deadline := time.Now().Add(10 * time.Second)
-	for srv.Snapshot().Inflight < n {
+	for srv.Snapshot().Waiting < n-1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d requests in flight", srv.Snapshot().Inflight, n)
+			t.Fatalf("only %d/%d followers parked", srv.Snapshot().Waiting, n-1)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -316,6 +318,53 @@ func TestCampaignSingleFlight(t *testing.T) {
 	if snap := srv.Snapshot(); snap.Sims != 1 || snap.Shared != n-1 {
 		t.Fatalf("snapshot sims=%d shared=%d, want 1/%d", snap.Sims, snap.Shared, n-1)
 	}
+}
+
+// TestGroupCountsParkedWaiters pins the Waiting accounting: a caller
+// counts as parked while it blocks behind the leader, and stops
+// counting whether the leader finishes or its own context dies.
+func TestGroupCountsParkedWaiters(t *testing.T) {
+	g := newGroup()
+	release, leading, led := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(led)
+		g.do(context.Background(), "k", func() error {
+			close(leading)
+			<-release
+			return nil
+		})
+	}()
+	<-leading
+
+	ctx, cancel := context.WithCancel(context.Background())
+	errs := make(chan error, 2)
+	go func() { _, err := g.do(ctx, "k", func() error { return nil }); errs <- err }()
+	go func() {
+		_, err := g.do(context.Background(), "k", func() error { return nil })
+		errs <- err
+	}()
+	waitParked := func(want int) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for g.parked() != want {
+			if time.Now().After(deadline) {
+				t.Fatalf("parked = %d, want %d", g.parked(), want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	waitParked(2)
+	cancel()
+	if err := <-errs; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled waiter returned %v, want context.Canceled", err)
+	}
+	waitParked(1)
+	close(release)
+	if err := <-errs; err != nil {
+		t.Fatalf("released waiter returned %v", err)
+	}
+	waitParked(0)
+	<-led
 }
 
 // TestCampaignStreamsProtocolLines: the response body is the shard

@@ -23,6 +23,7 @@ import (
 type group struct {
 	mu       sync.Mutex
 	inflight map[string]chan struct{}
+	waiting  int // callers parked on another call's execution
 }
 
 func newGroup() *group {
@@ -48,13 +49,20 @@ func (g *group) do(ctx context.Context, key string, fn func() error) (shared boo
 			close(ch)
 			return shared, err
 		}
+		g.waiting++
 		g.mu.Unlock()
 		shared = true
 		select {
 		case <-ctx.Done():
-			return shared, ctx.Err()
+			err = ctx.Err()
 		case <-ch:
 			// Leader done; loop to take (or queue for) the key.
+		}
+		g.mu.Lock()
+		g.waiting--
+		g.mu.Unlock()
+		if err != nil {
+			return shared, err
 		}
 	}
 }
@@ -65,4 +73,12 @@ func (g *group) active() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return len(g.inflight)
+}
+
+// parked reports how many callers are blocked waiting on another
+// call's execution of the same key.
+func (g *group) parked() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.waiting
 }

@@ -16,12 +16,11 @@ import (
 // far above any assembled image.
 const StackTop = 0x8000000
 
-// Env is the oracle's execution environment: instruction fetch from the
-// read-only program image (the paper assumes the instruction stream is
-// read-only, §IV-A), data in a sparse memory, RDTIME from a deterministic
-// pseudo-time source, and SVC appending X0 to an output buffer.
+// Env is the oracle's execution environment: data in a sparse memory,
+// RDTIME from a deterministic pseudo-time source, and SVC appending X0 to
+// an output buffer. Instructions come from the read-only program image
+// (the paper assumes the instruction stream is read-only, §IV-A).
 type Env struct {
-	Prog   *isa.Program
 	Mem    *mem.Sparse
 	Output []uint64
 
@@ -34,12 +33,8 @@ type Env struct {
 // NewEnv builds an environment with the program image loaded into memory.
 func NewEnv(prog *isa.Program, m *mem.Sparse) *Env {
 	m.SetBytes(prog.Origin, prog.Image)
-	return &Env{Prog: prog, Mem: m, timeSeed: 0x9e3779b97f4a7c15}
+	return &Env{Mem: m, timeSeed: 0x9e3779b97f4a7c15}
 }
-
-// FetchWord implements isa.Env. Instructions are fetched from the
-// program image, not data memory: the instruction stream is read-only.
-func (e *Env) FetchWord(pc uint64) (uint32, bool) { return e.Prog.Word(pc) }
 
 // Load implements isa.Env.
 func (e *Env) Load(addr uint64, size uint8) uint64 { return e.Mem.Read(addr, size) }
@@ -80,6 +75,7 @@ type Oracle struct {
 func NewOracle(prog *isa.Program, m *mem.Sparse, maxInstrs uint64) *Oracle {
 	env := NewEnv(prog, m)
 	o := &Oracle{Env: env, MaxInstrs: maxInstrs}
+	o.M.Prog = prog
 	o.M.Env = env
 	o.M.PC = prog.Entry
 	o.M.X[isa.RegSP] = StackTop
