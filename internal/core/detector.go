@@ -455,24 +455,59 @@ func (d *Detector) TelemetryFill(s *telemetry.Sample) {
 // snapshotted at execute time, before any later corruption of the
 // register file can touch it.
 type lfu struct {
-	inFlight map[uint64]uint8 // dynamic seq -> entry count
-	peak     int
+	// captured is a power-of-two ring of capture flags indexed by Seq.
+	// Commits arrive in Seq order and a capture precedes its commit, so
+	// the flags in use span [head, newest capture], and the ring grows
+	// whenever a capture would wrap onto that span.
+	captured []bool
+	head     uint64 // Seq after the last commit
+	n, peak  int    // flags set now, and at most
 }
 
 func (l *lfu) capture(di *isa.DynInst) {
-	if l.inFlight == nil {
-		l.inFlight = make(map[uint64]uint8)
+	if di.Seq < l.head {
+		return // already committed: nothing left to drain
 	}
-	n := di.NMem
-	if n == 0 && di.HasNonDet {
-		n = 1
+	if di.Seq-l.head >= uint64(len(l.captured)) {
+		l.grow(di.Seq)
 	}
-	l.inFlight[di.Seq] = n
-	if len(l.inFlight) > l.peak {
-		l.peak = len(l.inFlight)
+	slot := &l.captured[di.Seq&uint64(len(l.captured)-1)]
+	if *slot {
+		return
+	}
+	*slot = true
+	l.n++
+	if l.n > l.peak {
+		l.peak = l.n
 	}
 }
 
 func (l *lfu) commit(di *isa.DynInst) {
-	delete(l.inFlight, di.Seq)
+	l.head = di.Seq + 1
+	if l.n == 0 {
+		return // nothing in flight; the ring may not exist yet
+	}
+	if slot := &l.captured[di.Seq&uint64(len(l.captured)-1)]; *slot {
+		*slot = false
+		l.n--
+	}
+}
+
+// grow resizes the ring to hold every Seq from head to seq.
+func (l *lfu) grow(seq uint64) {
+	size := 64
+	for uint64(size) <= seq-l.head {
+		size <<= 1
+	}
+	ring := make([]bool, size)
+	old := uint64(len(l.captured))
+	for i, set := range l.captured {
+		if set {
+			// The old ring held Seqs [head, head+old): recover each
+			// flag's Seq from its slot.
+			seq := l.head + (uint64(i)-l.head)&(old-1)
+			ring[seq&uint64(size-1)] = true
+		}
+	}
+	l.captured = ring
 }

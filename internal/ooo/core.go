@@ -139,6 +139,7 @@ func NewBigCoreConfig() Config {
 // Stats aggregates core performance counters.
 type Stats struct {
 	Cycles       uint64
+	Ticks        uint64 // activations: Cycles less the idle cycles skipped between them
 	Instructions uint64
 	MicroOps     uint64
 	Loads        uint64
@@ -185,7 +186,8 @@ type robEntry struct {
 }
 
 // Core is the out-of-order main core timing model. It implements
-// sim.Ticker; one Tick is one core cycle.
+// sim.Ticker; one Tick simulates one core cycle and, when that cycle
+// changed nothing, the idle cycles after it too (see Tick).
 type Core struct {
 	cfg    Config
 	trace  TraceSource
@@ -228,6 +230,10 @@ type Core struct {
 
 	// Commit.
 	commitBlockedTil sim.Time
+
+	// acted records that the current Tick changed pipeline state, made a
+	// cache access or was refused by the commit gate.
+	acted bool
 
 	// Telemetry. probeNext is the committed-instruction count at which
 	// the next sample fires; with no probe attached it is MaxUint64, so
@@ -320,8 +326,22 @@ func (c *Core) clearReady(idx uint64) { c.ready[idx>>6] &^= 1 << (idx & 63) }
 
 // Tick advances the core by one cycle. Stages run commit-first so that a
 // single instruction cannot traverse multiple stages in one cycle.
+//
+// A cycle that changes no state repeats unchanged until one of the
+// core's own timers expires, so after one Tick returns the first clock
+// edge at or after the earliest such timer, and counts the cycles in
+// between as simulated: Cycles, plus the rename and I-cache stall
+// counters if this cycle stalled there, since those conditions hold
+// until that edge. The
+// skipped cycles would make no cache access and no gate call, so every
+// other component sees exactly the per-cycle sequence of events. A cycle
+// whose commit the gate refused is never skipped past: a checker frees a
+// log segment from outside the core, which no core timer predicts.
 func (c *Core) Tick(now sim.Time) (sim.Time, bool) {
 	c.stats.Cycles++
+	c.stats.Ticks++
+	c.acted = false
+	renameStalls, icacheStalls := c.stats.RenameStallCycles, c.stats.FetchStallICache
 	c.commit(now)
 	c.issue(now)
 	c.rename(now)
@@ -331,7 +351,57 @@ func (c *Core) Tick(now sim.Time) (sim.Time, bool) {
 		c.stats.FinishTime = now
 		return 0, true
 	}
-	return now + c.cfg.Clock.Period, false
+	p := c.cfg.Clock.Period
+	if c.acted {
+		return now + p, false
+	}
+	wake := c.nextTimer(now)
+	if wake == sim.MaxTime {
+		return now + p, false
+	}
+	cycles := (wake - now + p - 1) / p // to the first edge at or after wake
+	skipped := uint64(cycles - 1)
+	c.stats.Cycles += skipped
+	if c.stats.RenameStallCycles != renameStalls {
+		c.stats.RenameStallCycles += skipped
+	}
+	if c.stats.FetchStallICache != icacheStalls {
+		c.stats.FetchStallICache += skipped
+	}
+	return now + cycles*p, false
+}
+
+// nextTimer returns the earliest time after now at which a comparison
+// against the clock in commit, issue or fetch changes outcome, or
+// MaxTime if there is none. A ready entry whose readyAt has passed but
+// that did not issue waits on a unit's busy horizon (a timer here) or on
+// an older store that has not issued yet (whose own issue these timers
+// bound), never on anything outside the core.
+func (c *Core) nextTimer(now sim.Time) sim.Time {
+	t := sim.MaxTime
+	later := func(x sim.Time) {
+		if x > now && x < t {
+			t = x
+		}
+	}
+	later(c.commitBlockedTil)
+	if !c.robEmpty() {
+		if h := c.entry(c.headID); h.issued {
+			later(h.completeAt)
+		}
+	}
+	for w, word := range c.ready {
+		for word != 0 {
+			later(c.rob[w<<6+bits.TrailingZeros64(word)].readyAt)
+			word &= word - 1
+		}
+	}
+	later(c.mulDivBusyTil)
+	later(c.fpDivBusyTil)
+	if c.blockedOnSeq == 0 {
+		later(c.fetchStallTil)
+	}
+	return t
 }
 
 // ---- Commit ----
@@ -354,6 +424,7 @@ func (c *Core) commit(now sim.Time) {
 			stall, ok := c.gate.TryCommit(&e.di, now)
 			if !ok {
 				c.stats.LogFullStallCycles++
+				c.acted = true
 				return
 			}
 			if stall > 0 {
@@ -362,6 +433,7 @@ func (c *Core) commit(now sim.Time) {
 			}
 		}
 		c.retire(e, now)
+		c.acted = true
 		budget -= uops
 		c.headID++
 		if c.stats.Instructions >= c.probeNext {
@@ -537,6 +609,7 @@ func (c *Core) tryIssue(e *robEntry, now sim.Time, rs *issueRes) {
 		if !ok {
 			return
 		}
+		c.acted = true
 		rs.memPorts--
 		e.issued = true
 		e.inIQ = false
@@ -560,6 +633,7 @@ func (c *Core) tryIssue(e *robEntry, now sim.Time, rs *issueRes) {
 }
 
 func (c *Core) complete(e *robEntry, now sim.Time, latCycles int) {
+	c.acted = true
 	e.issued = true
 	e.inIQ = false
 	c.iqCount--
@@ -620,6 +694,7 @@ func (c *Core) issueLoad(e *robEntry, now sim.Time) (sim.Time, bool) {
 			doneAt = sim.Max(doneAt, fwd)
 			continue
 		}
+		c.acted = true // a later part of the load may still have to wait
 		doneAt = sim.Max(doneAt, c.dcache.Access(ld.Addr, false, e.di.PC, now))
 	}
 	return doneAt, true
@@ -748,6 +823,7 @@ func (c *Core) rename(now sim.Time) {
 		}
 		c.tailID++
 		c.fqLen--
+		c.acted = true
 		budget--
 	}
 }
@@ -773,6 +849,7 @@ func (c *Core) fetch(now sim.Time) {
 			}
 			c.pendingValid = true
 		}
+		c.acted = true
 
 		// Instruction cache: a new line access may stall fetch; the
 		// access is charged once (the fill continues in the background).

@@ -1,26 +1,32 @@
 package sim
 
 // Ticker is a clocked component driven by the Engine. Tick is called once
-// per scheduled activation with the current time; it returns the time of
-// the component's next activation, or a time <= now wrapped as (next,
-// false) semantics via the done flag:
+// per scheduled activation with the current time and reports when to
+// call it next:
 //
-//   - next > now, done == false: reschedule at next.
+//   - done == false: reschedule at next (a next <= now is treated as
+//     now plus one femtosecond).
 //   - done == true: the component has finished and is removed.
 //
 // A component that is stalled waiting for an event at a known future time
-// simply returns that time; a component with nothing to do until another
-// component wakes it can return MaxTime and later be rescheduled with
-// Engine.Wake.
+// simply returns that time, skipping the activations in between (the
+// out-of-order core does this after a cycle that changed nothing); a
+// component with nothing to do until another component wakes it can
+// return MaxTime and later be rescheduled with Engine.Wake.
 type Ticker interface {
 	Tick(now Time) (next Time, done bool)
 }
 
 // Engine drives a set of Tickers in global-time order. Systems have at
-// most a dozen or so tickers (commonly two: core + detector), so the
-// scheduler is a registration-ordered slice with a linear min scan — no
-// heap churn, no map lookups on the per-tick fast path. Ties are broken
-// by registration order so runs are deterministic.
+// most a dozen or so tickers: the Table I system registers its twelve
+// checker cores and then the main core (the detector is not a ticker;
+// the core's commit stage and the checkers call into it), and systems
+// without checker cores register the main core alone. So the scheduler
+// is a registration-ordered slice with a linear min scan — no heap
+// churn, no map lookups on the per-tick fast path. Ties are broken by
+// registration order so runs are deterministic; in the Table I system a
+// checker activation runs before a main-core activation at the same
+// time.
 type Engine struct {
 	items   []engineItem
 	live    int // items not yet done
