@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"paradet/internal/isa"
-	"paradet/internal/mem"
 	"paradet/internal/obs/telemetry"
 	"paradet/internal/sim"
 	"paradet/internal/stats"
@@ -61,8 +60,8 @@ type Stats struct {
 
 // Detector is the detection architecture controller: it owns the
 // partitioned load-store log, takes register checkpoints from the
-// commit-time architectural replica, schedules checker cores, and runs
-// the strong-induction error-confirmation protocol.
+// commit-time register replica, schedules checker cores, and runs the
+// strong-induction error-confirmation protocol.
 type Detector struct {
 	cfg      Config
 	capacity int
@@ -71,11 +70,13 @@ type Detector struct {
 	checkers []Checker
 	cur      int
 
-	// Commit-time architectural replica: a second functional machine
-	// stepped exactly at commit, so register checkpoints reflect the
-	// committed boundary even though the trace oracle runs ahead.
-	retire    isa.Machine
-	retireEnv *retireEnv
+	// Commit-time register replica: the main core's committed register
+	// file and PC, advanced at each commit by replaying the committing
+	// instruction's destination values (§IV-D copies this file into a
+	// checkpoint; nothing executes twice). The trace oracle runs ahead,
+	// so its own registers cannot serve. retired counts commits.
+	retire  isa.ArchRegs
+	retired uint64
 
 	startRegs     isa.ArchRegs
 	startSeq      uint64
@@ -87,11 +88,6 @@ type Detector struct {
 	finished      bool
 
 	lfu lfu
-
-	// retireScratch receives the replica's dynamic record each commit;
-	// a struct field (rather than a local) keeps the hot Step call from
-	// heap-allocating one DynInst per instruction.
-	retireScratch isa.DynInst
 
 	// Strong-induction confirmation state. resultPool recycles the
 	// per-segment CheckResult boxes drained by the confirmation loop.
@@ -108,35 +104,11 @@ type Detector struct {
 
 var _ ResultSink = (*Detector)(nil)
 
-// retireEnv is the commit-time replica's environment: data in the
-// replica's own memory, and RDTIME values replayed from the log
-// (non-determinism must flow through the log, never be recomputed).
-type retireEnv struct {
-	mem     *mem.Sparse
-	nonDetQ []uint64
-}
-
-func (e *retireEnv) Load(addr uint64, size uint8) uint64 {
-	return e.mem.Read(addr, size)
-}
-func (e *retireEnv) Store(addr uint64, size uint8, val uint64) {
-	e.mem.Write(addr, size, val)
-}
-func (e *retireEnv) ReadTime() uint64 {
-	if len(e.nonDetQ) == 0 {
-		panic("core: retire machine consumed RDTIME with empty queue")
-	}
-	v := e.nonDetQ[0]
-	e.nonDetQ = e.nonDetQ[1:]
-	return v
-}
-func (e *retireEnv) Syscall(m *isa.Machine) {}
-
-// New builds a detector. prog is the shared read-only image; initRegs the
-// architectural start state (seed of the first checkpoint). Checker cores
-// are attached afterwards with AttachCheckers (they need the detector as
-// their result sink, so construction is two-phase).
-func New(cfg Config, prog *isa.Program, initRegs isa.ArchRegs) *Detector {
+// New builds a detector. initRegs is the architectural start state (seed
+// of the first checkpoint). Checker cores are attached afterwards with
+// AttachCheckers (they need the detector as their result sink, so
+// construction is two-phase).
+func New(cfg Config, initRegs isa.ArchRegs) *Detector {
 	if cfg.NumSegments <= 0 {
 		panic("core: need at least one segment")
 	}
@@ -157,11 +129,7 @@ func New(cfg Config, prog *isa.Program, initRegs isa.ArchRegs) *Detector {
 		d.segs[i] = &Segment{Index: i, State: SegFree, Entries: make([]LogEntry, 0, d.capacity)}
 	}
 	d.segs[0].State = SegFilling
-	d.retireEnv = &retireEnv{mem: mem.NewSparse()}
-	d.retireEnv.mem.SetBytes(prog.Origin, prog.Image)
-	d.retire.Prog = prog
-	d.retire.Env = d.retireEnv
-	d.retire.Restore(initRegs)
+	d.retire = initRegs
 	if cfg.InterruptInterval > 0 {
 		d.nextInterrupt = cfg.InterruptInterval
 	}
@@ -176,10 +144,6 @@ func (d *Detector) AttachCheckers(checkers []Checker) {
 	}
 	d.checkers = checkers
 }
-
-// RetireHooks exposes the commit-time replica's hook point so the fault
-// injector can apply the identical corruption to both functional copies.
-func (d *Detector) RetireHooks() *isa.Hooks { return &d.retire.Hooks }
 
 // Stats returns a copy of the counters, with the LFU peak folded in.
 func (d *Detector) Stats() Stats {
@@ -275,24 +239,33 @@ func (d *Detector) OnLoadData(di *isa.DynInst, at sim.Time) {
 	d.stats.LFUCaptures++
 }
 
-// retireStep advances the commit-time architectural replica by exactly
-// the committing instruction and cross-checks the dynamic record.
+// retireStep advances the commit-time register replica by exactly the
+// committing instruction: each destination takes the value the oracle
+// recorded after the instruction and any main-core fault hook ran, and
+// the PC follows the (possibly corrupted) NextPC. A hook changes only
+// the first destination register, the record's memory operands, memory
+// or NextPC, and the replica holds only registers and PC, so this
+// reproduces what re-executing the instruction under the same hook
+// computed. The record must continue the committed stream.
 func (d *Detector) retireStep(di *isa.DynInst) {
-	if di.HasNonDet {
-		d.retireEnv.nonDetQ = append(d.retireEnv.nonDetQ, di.NonDetVal)
-	}
-	rd := &d.retireScratch
-	if err := d.retire.Step(rd); err != nil {
-		panic(fmt.Sprintf("core: retire replica fault at committed instruction %d: %v", di.Seq, err))
-	}
-	if rd.Seq != di.Seq || rd.PC != di.PC {
+	r := &d.retire
+	if di.Seq != d.retired+1 || di.PC != r.PC {
 		panic(fmt.Sprintf("core: retire replica diverged: seq %d/%d pc %#x/%#x",
-			rd.Seq, di.Seq, rd.PC, di.PC))
+			d.retired+1, di.Seq, r.PC, di.PC))
 	}
+	for i, dst := range di.Operands.Dsts() {
+		if dst.FP {
+			r.F[dst.Idx] = di.DstVal[i]
+		} else {
+			r.X[dst.Idx] = di.DstVal[i]
+		}
+	}
+	r.PC = di.NextPC
+	d.retired = di.Seq
 }
 
 // seal closes the current segment, takes the end register checkpoint from
-// the commit-time replica, hands the segment to its checker core, and
+// the commit-time register replica, hands the segment to its checker core, and
 // advances to the next buffer. It returns the checkpoint commit pause.
 func (d *Detector) seal(reason SealReason, now sim.Time) sim.Time {
 	cur := d.segs[d.cur]
@@ -300,7 +273,7 @@ func (d *Detector) seal(reason SealReason, now sim.Time) sim.Time {
 	stall := d.checkpointStall()
 	cur.SeqNo = d.segSeq
 	cur.StartRegs = d.startRegs
-	cur.EndRegs = d.retire.Snapshot()
+	cur.EndRegs = d.retire
 	cur.StartSeq = d.startSeq
 	cur.InstCount = d.instrsInCur
 	cur.Reason = reason
@@ -351,7 +324,7 @@ func (d *Detector) sealFinal(now sim.Time) {
 	d.segSeq++
 	cur.SeqNo = d.segSeq
 	cur.StartRegs = d.startRegs
-	cur.EndRegs = d.retire.Snapshot()
+	cur.EndRegs = d.retire
 	cur.StartSeq = d.startSeq
 	cur.InstCount = d.instrsInCur
 	cur.Reason = SealFinish

@@ -18,10 +18,12 @@
 //     main computation is fine (over-detection, §IV-I).
 //
 // All corruption is a deterministic function of the dynamic instruction
-// number, so the identical hook applied to the trace oracle and the
-// detector's commit-time replica keeps the two functional copies
-// consistent (which is exactly what real hardware guarantees: there is
-// only one main core).
+// number. The main-core hook is installed once, on the trace oracle: as
+// in real hardware there is only one main core, and the detector's
+// commit-time replica replays the register values the oracle committed
+// after the hook ran. A main-core hook changes only the first
+// destination register, the record's memory operands, memory, or
+// NextPC, which is what keeps that replay exact.
 package fault
 
 import (
@@ -111,8 +113,10 @@ type Injector struct {
 }
 
 // MainHook returns the PostExec hook for the main core's functional
-// copies (the trace oracle and the commit-time replica). The same
-// function must be installed on both.
+// model, the trace oracle. It changes nothing but the first destination
+// register, the record's memory operands, memory and NextPC; a new
+// target must keep to that, because the detector's commit-time replica
+// replays only destination registers and PC.
 func (inj *Injector) MainHook() func(*isa.Machine, *isa.DynInst) {
 	faults := make([]Fault, 0, len(inj.Faults))
 	for _, f := range inj.Faults {

@@ -41,6 +41,13 @@ type DynInst struct {
 	PC     uint64
 	NextPC uint64
 	Inst   Inst
+	// Operands points at Inst's descriptor in the program's shared,
+	// read-only operand table.
+	Operands *Operands
+	// DstVal holds the value each of Operands.Dsts() held after the
+	// instruction (and any PostExec hook) ran. Step only zeroes it; the
+	// trace oracle fills it for the commit-time replica to replay.
+	DstVal [2]uint64
 	Taken  bool // branch outcome
 	NMem   uint8
 	Mem    [2]MemOp
@@ -96,8 +103,10 @@ type Machine struct {
 	// InstCount counts retired instructions (Seq of the last DynInst).
 	InstCount uint64
 
-	// code caches Prog's predecoded table: code[i] is at codeBase+4*i.
+	// code and operands cache Prog's predecoded tables: code[i] is at
+	// codeBase+4*i and operands[i] is its operand descriptor.
 	code     []Inst
+	operands []Operands
 	codeBase uint64
 }
 
@@ -173,7 +182,7 @@ func (m *Machine) Step(di *DynInst) error {
 		return &ProgError{PC: m.PC, Reason: "machine is halted"}
 	}
 	if m.code == nil && m.Prog != nil {
-		m.codeBase, m.code = m.Prog.Insts()
+		m.codeBase, m.code, m.operands = m.Prog.Insts()
 	}
 	// A PC below codeBase wraps to an index far past the table.
 	i := (m.PC - m.codeBase) >> 2
@@ -190,6 +199,7 @@ func (m *Machine) Step(di *DynInst) error {
 	m.InstCount++
 	// Reset in place: callers reuse the record (often a ROB slot).
 	di.Seq, di.PC, di.NextPC, di.Inst = m.InstCount, m.PC, 0, in
+	di.Operands, di.DstVal = &m.operands[i], [2]uint64{}
 	di.Taken, di.NMem, di.Mem = false, 0, [2]MemOp{}
 	di.HasNonDet, di.NonDetVal, di.Halt, di.Thread = false, 0, false, 0
 	next := m.PC + 4

@@ -341,9 +341,6 @@ func (in Inst) Dsts(buf []RegRef) []RegRef {
 		if info.isStore {
 			return buf // store "rd" is a source
 		}
-		if in.Op == OpBEQ { // unreachable; branches are FmtB
-			return buf
-		}
 		if !info.fpDst && in.Rd == ZeroReg {
 			return buf
 		}
@@ -419,6 +416,32 @@ func (in Inst) Srcs(buf []RegRef) []RegRef {
 	}
 	return buf
 }
+
+// Operands is the static operand descriptor of one instruction: exactly
+// the registers Inst.Srcs and Inst.Dsts report, kept in fixed arrays.
+// Program builds one per predecoded word and each DynInst points at its
+// own, so the timing models and the commit-time replica read operands
+// without re-running the format switch per dynamic instruction.
+type Operands struct {
+	Src  [3]RegRef // STP reads the most: base, first and second data
+	Dst  [2]RegRef // LDP writes the most: both pair registers
+	NSrc uint8
+	NDst uint8
+}
+
+// operandsOf builds the descriptor of in from Inst.Srcs and Inst.Dsts.
+func operandsOf(in Inst) Operands {
+	var o Operands
+	o.NSrc = uint8(len(in.Srcs(o.Src[:0])))
+	o.NDst = uint8(len(in.Dsts(o.Dst[:0])))
+	return o
+}
+
+// Srcs returns the source registers, as Inst.Srcs does.
+func (o *Operands) Srcs() []RegRef { return o.Src[:o.NSrc] }
+
+// Dsts returns the destination registers, as Inst.Dsts does.
+func (o *Operands) Dsts() []RegRef { return o.Dst[:o.NDst] }
 
 // MemSize reports the access width in bytes for load/store ops (8 for the
 // pair ops' individual micro-ops), or 0 for non-memory ops.

@@ -30,11 +30,17 @@ func seededMachine(prog *Program, pc uint64) *Machine {
 	return m
 }
 
-// fillGarbage sets every field reachable in v to a non-zero value, so a
-// field that Step forgets to reset (including one added later) shows up
-// as a difference from a zeroed record.
+// fillGarbage sets every field reachable in v to a non-zero value, and
+// every pointer to a fresh garbage-filled target, so a field that Step
+// forgets to reset (including one added later) shows up as a difference
+// from a zeroed record.
 func fillGarbage(v reflect.Value) {
 	switch v.Kind() {
+	case reflect.Pointer:
+		// Point at a garbage-filled value of its own, so a pointer Step
+		// forgets to set still differs from the program's table.
+		v.Set(reflect.New(v.Type().Elem()))
+		fillGarbage(v.Elem())
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
 			fillGarbage(v.Field(i))
@@ -87,6 +93,10 @@ func TestPredecodeMatchesDecode(t *testing.T) {
 				t.Fatalf("word %#08x: record %+v, want inst %+v at seq 1 pc %#x",
 					word, zeroed, want, testOrigin)
 			}
+			if _, _, operands := prog.Insts(); zeroed.Operands != &operands[0] {
+				t.Fatalf("word %#08x: record points at %p, not the table's descriptor %p",
+					word, zeroed.Operands, &operands[0])
+			}
 
 			var dirty DynInst
 			fillGarbage(reflect.ValueOf(&dirty).Elem())
@@ -97,6 +107,82 @@ func TestPredecodeMatchesDecode(t *testing.T) {
 				t.Fatalf("word %#08x: garbage record came out\n%+v\nzeroed record came out\n%+v",
 					word, dirty, zeroed)
 			}
+		}
+	}
+}
+
+// TestOperandTableMatchesSrcsDsts builds the operand table of an image
+// holding every opcode byte with every combination of a few register
+// numbers in the three register fields (the zero register, the pair
+// registers of LDP/STP, the MOVK merge source, store-data sources and FP
+// files all come up), and checks each descriptor against Inst.Srcs and
+// Inst.Dsts, which define the operand rules.
+func TestOperandTableMatchesSrcsDsts(t *testing.T) {
+	regs := []uint32{0, 1, 7, 30, 31}
+	var words []uint32
+	for op := 0; op < 256; op++ {
+		for _, rd := range regs {
+			for _, rs1 := range regs {
+				for _, rs2 := range regs {
+					words = append(words, uint32(op)<<24|rd<<19|rs1<<14|rs2<<9|0x15)
+				}
+			}
+		}
+	}
+	prog := imageOf(words...)
+	_, insts, operands := prog.Insts()
+	if len(operands) != len(words) || len(insts) != len(words) {
+		t.Fatalf("%d descriptors and %d instructions for %d words", len(operands), len(insts), len(words))
+	}
+	same := func(a, b []RegRef) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				return false
+			}
+		}
+		return true
+	}
+	seen := map[string]bool{}
+	for i, w := range words {
+		in, err := Decode(w)
+		if err != nil {
+			if operands[i] != (Operands{}) {
+				t.Fatalf("word %#08x: undefined word has operands %+v", w, operands[i])
+			}
+			continue
+		}
+		o := &operands[i]
+		srcs, dsts := in.Srcs(nil), in.Dsts(nil)
+		if !same(o.Srcs(), srcs) || !same(o.Dsts(), dsts) {
+			t.Fatalf("%v: descriptor srcs %v dsts %v, Inst says srcs %v dsts %v",
+				in, o.Srcs(), o.Dsts(), srcs, dsts)
+		}
+		if len(dsts) > 0 && dsts[0].FP {
+			seen["fp destination"] = true
+		}
+		if len(dsts) == 2 {
+			seen["pair destinations"] = true
+		}
+		if in.Op == OpSTP && len(srcs) == 3 {
+			seen["pair store data"] = true
+		}
+		if in.Op == OpMOVK && len(srcs) == 1 {
+			seen["movk merge source"] = true
+		}
+		if in.Op.IsStore() && in.Op != OpSTP && len(srcs) == 2 {
+			seen["store data"] = true
+		}
+		if in.Rd == ZeroReg && !in.Op.IsStore() && in.Op.Format() == FmtR && len(dsts) == 0 {
+			seen["zero-register destination dropped"] = true
+		}
+	}
+	for _, k := range []string{"fp destination", "pair destinations", "pair store data",
+		"movk merge source", "store data", "zero-register destination dropped"} {
+		if !seen[k] {
+			t.Errorf("no word exercised %s", k)
 		}
 	}
 }

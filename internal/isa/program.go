@@ -12,11 +12,12 @@ type Program struct {
 	// Symbols maps labels to addresses.
 	Symbols map[string]uint64
 
-	// The predecoded instruction table (see Insts), which concurrent
-	// campaign cells sharing one *Program build race-free.
+	// The predecoded instruction and operand tables (see Insts), which
+	// concurrent campaign cells sharing one *Program build race-free.
 	decodeOnce sync.Once
 	instBase   uint64
 	insts      []Inst
+	operands   []Operands
 }
 
 // End reports the first address past the image.
@@ -34,13 +35,15 @@ func (p *Program) Word(addr uint64) (uint32, bool) {
 
 // Insts returns the predecoded instruction table: insts[i] is the
 // decoded word at base+4*i, for every aligned word wholly inside the
-// image, with Op == OpInvalid where the word is undefined. It is built
-// on the first call and shared by all callers, who must not modify it:
-// the instruction stream is read-only (§IV-A).
-func (p *Program) Insts() (base uint64, insts []Inst) {
+// image, with Op == OpInvalid where the word is undefined. operands[i]
+// is the operand descriptor of insts[i]. Both are built on the first
+// call and shared by all callers, who must not modify them: the
+// instruction stream is read-only (§IV-A).
+func (p *Program) Insts() (base uint64, insts []Inst, operands []Operands) {
 	p.decodeOnce.Do(func() {
 		p.instBase = (p.Origin + 3) &^ 3
 		p.insts = make([]Inst, 0, len(p.Image)/4)
+		p.operands = make([]Operands, 0, len(p.Image)/4)
 		for addr := p.instBase; addr+4 <= p.End(); addr += 4 {
 			w, _ := p.Word(addr)
 			var in Inst // an undefined word stays Op == OpInvalid
@@ -48,7 +51,8 @@ func (p *Program) Insts() (base uint64, insts []Inst) {
 				in, _ = Decode(w) // cannot fail; the check skips its error allocation
 			}
 			p.insts = append(p.insts, in)
+			p.operands = append(p.operands, operandsOf(in))
 		}
 	})
-	return p.instBase, p.insts
+	return p.instBase, p.insts, p.operands
 }

@@ -489,8 +489,7 @@ func (c *Core) retire(e *robEntry, now sim.Time) {
 
 	// Free physical registers (freed at commit of the producing
 	// instruction itself; slightly optimistic, see package doc).
-	var dbuf [2]isa.RegRef
-	for _, d := range di.Inst.Dsts(dbuf[:0]) {
+	for _, d := range di.Operands.Dsts() {
 		if d.FP {
 			c.fpRegsFree++
 		} else {
@@ -746,11 +745,9 @@ func (c *Core) rename(now sim.Time) {
 		id := c.tailID
 		idx := id & c.robMask
 		e := &c.rob[idx]
-		in := e.di.Inst
-		op := in.Op
-
-		var dbuf, sbuf [3]isa.RegRef
-		dsts := in.Dsts(dbuf[:0])
+		op := e.di.Inst.Op
+		operands := e.di.Operands
+		dsts := operands.Dsts()
 		needInt, needFP := 0, 0
 		for _, d := range dsts {
 			if d.FP {
@@ -774,7 +771,7 @@ func (c *Core) rename(now sim.Time) {
 		e.pendingDeps, e.readyAt, e.firstWaiter = 0, 0, noWaiter
 		e.nextWaiter = [3]int32{noWaiter, noWaiter, noWaiter}
 		thr := int(e.di.Thread)
-		for _, s := range in.Srcs(sbuf[:0]) {
+		for _, s := range operands.Srcs() {
 			file := 0
 			if s.FP {
 				file = 1

@@ -197,12 +197,16 @@ type gateRecorder struct {
 	stallOnce sim.Time
 	blockSeq  uint64 // refuse commits of this seq once
 	blocked   uint64
+	firstAt   [2]sim.Time // times of the first two commits
 }
 
 func (g *gateRecorder) TryCommit(di *isa.DynInst, now sim.Time) (sim.Time, bool) {
 	if di.Seq == g.blockSeq && g.blocked == 0 {
 		g.blocked++
 		return 0, false
+	}
+	if g.commits < 2 {
+		g.firstAt[g.commits] = now
 	}
 	g.commits++
 	s := g.stallOnce
@@ -224,21 +228,44 @@ func TestCommitGateSeesEveryInstructionOnce(t *testing.T) {
 	}
 }
 
+// TestCommitGateStallDelaysCompletion charges commit pauses through the
+// gate: one 1 us pause on the first commit, and a 10 ns pause on every
+// commit. A pause blocks commit for its whole length and is accounted
+// exactly once in CheckpointStall. The loop is commit-width bound, so
+// no latency of the unpaused run can hide behind the pause and finish
+// moves by at least its full length.
 func TestCommitGateStallDelaysCompletion(t *testing.T) {
-	free := buildCore(t, repeat("add x1, x1, x2"), &gateRecorder{}, 0)
-	fst := runToCompletion(t, free)
-
-	stall := &gateRecorder{stallOnce: 1 * sim.Microsecond}
-	// stallOnce returns the stall for the first commit only; inject a
-	// fresh 1 us stall every commit instead for a visible effect.
-	_ = stall
-	heavy := buildCore(t, repeat("add x1, x1, x2"), &alwaysStall{}, 0)
-	hst := runToCompletion(t, heavy)
-	if hst.FinishTime <= fst.FinishTime {
-		t.Errorf("per-commit stalls must slow the core: %v vs %v", hst.FinishTime, fst.FinishTime)
+	src := repeat(`
+	add x1, x10, x11
+	add x2, x12, x13
+	add x3, x14, x15
+	add x4, x10, x12
+`)
+	fst := runToCompletion(t, buildCore(t, src, &gateRecorder{}, 0))
+	if fst.CheckpointStall != 0 {
+		t.Fatalf("a gate that never pauses accounted %v of stall", fst.CheckpointStall)
 	}
-	if hst.CheckpointStall == 0 {
-		t.Error("stall time must be accounted")
+
+	once := &gateRecorder{stallOnce: 1 * sim.Microsecond}
+	ost := runToCompletion(t, buildCore(t, src, once, 0))
+	if gap := once.firstAt[1] - once.firstAt[0]; gap < 1*sim.Microsecond {
+		t.Errorf("second commit %v after the first, inside its 1 us pause", gap)
+	}
+	if ost.FinishTime < fst.FinishTime+1*sim.Microsecond {
+		t.Errorf("a 1 us pause on the first commit must delay completion by at least 1 us: %v vs %v",
+			ost.FinishTime, fst.FinishTime)
+	}
+	if ost.CheckpointStall != 1*sim.Microsecond {
+		t.Errorf("one 1 us pause accounted as %v", ost.CheckpointStall)
+	}
+
+	heavy := runToCompletion(t, buildCore(t, src, &alwaysStall{}, 0))
+	if heavy.FinishTime <= ost.FinishTime {
+		t.Errorf("per-commit stalls must slow the core: %v vs %v", heavy.FinishTime, ost.FinishTime)
+	}
+	if want := sim.Time(heavy.Instructions) * 10 * sim.Nanosecond; heavy.CheckpointStall != want {
+		t.Errorf("%d commits paused 10 ns each accounted as %v, want %v",
+			heavy.Instructions, heavy.CheckpointStall, want)
 	}
 }
 

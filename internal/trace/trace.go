@@ -83,7 +83,9 @@ func NewOracle(prog *isa.Program, m *mem.Sparse, maxInstrs uint64) *Oracle {
 }
 
 // Next implements the trace source: it retires one instruction from the
-// functional model.
+// functional model and records the value each destination register holds
+// afterwards in di.DstVal. Step has already run any fault hook, so these
+// are the values the main core commits, corrupted or not.
 func (o *Oracle) Next(di *isa.DynInst) bool {
 	if o.done {
 		return false
@@ -96,6 +98,13 @@ func (o *Oracle) Next(di *isa.DynInst) bool {
 		o.Err = err
 		o.done = true
 		return false
+	}
+	for i, d := range di.Operands.Dsts() {
+		if d.FP {
+			di.DstVal[i] = o.M.F[d.Idx]
+		} else {
+			di.DstVal[i] = o.M.X[d.Idx]
+		}
 	}
 	if di.Halt {
 		o.done = true
